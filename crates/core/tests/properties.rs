@@ -1,7 +1,6 @@
 //! Randomized property tests for the core architecture's invariants,
 //! driven by the workspace's deterministic [`Xoshiro256`] generator.
 
-use watchmen_core::delta::DeltaStateUpdate;
 use watchmen_core::msg::{
     Envelope, HandoffNotice, KillClaim, Payload, PositionUpdate, SignedEnvelope, StateUpdate,
 };
@@ -112,7 +111,6 @@ fn envelope_decoder_never_panics_on_garbage() {
         let bytes: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
         let _ = Envelope::decode(&bytes);
         let _ = SignedEnvelope::decode(&bytes);
-        let _ = DeltaStateUpdate::from_bytes(&bytes);
     }
 }
 
@@ -130,44 +128,6 @@ fn bitflip_always_breaks_signature() {
         if let Ok(tampered) = SignedEnvelope::decode(&bytes) {
             assert!(!tampered.verify(&keys.public()));
         }
-    }
-}
-
-#[test]
-fn delta_apply_reconstructs() {
-    let mut rng = Xoshiro256::new(45);
-    for _ in 0..CASES {
-        let baseline = arb_state(&mut rng);
-        let current = arb_state(&mut rng);
-        let seq = rng.next_u64();
-        let delta = DeltaStateUpdate::encode_against(seq, &baseline, &current);
-        // In-memory application is exact.
-        let rebuilt = delta.apply_to(seq, &baseline).unwrap();
-        assert_eq!(rebuilt, current);
-        // Wire roundtrip is exact on integers, f32-accurate on floats.
-        let decoded = DeltaStateUpdate::from_bytes(&delta.to_bytes()).unwrap();
-        let wire = decoded.apply_to(seq, &baseline).unwrap();
-        let tol = |v: f64| v.abs().max(1.0) * 1e-6;
-        assert!(wire.position.approx_eq(current.position, tol(current.position.length())));
-        assert!(wire.velocity.approx_eq(current.velocity, tol(current.velocity.length())));
-        assert!((wire.aim.yaw() - current.aim.yaw()).abs() <= 1e-6);
-        assert!((wire.aim.pitch() - current.aim.pitch()).abs() <= 1e-6);
-        assert_eq!(wire.health, current.health);
-        assert_eq!(wire.armor, current.armor);
-        assert_eq!(wire.weapon, current.weapon);
-        assert_eq!(wire.ammo, current.ammo);
-    }
-}
-
-#[test]
-fn delta_never_larger_than_quantized_full_plus_header() {
-    let mut rng = Xoshiro256::new(46);
-    for _ in 0..CASES {
-        let baseline = arb_state(&mut rng);
-        let current = arb_state(&mut rng);
-        let delta = DeltaStateUpdate::encode_against(0, &baseline, &current);
-        // All-fields-changed worst case: 9-byte header + 12+12+8+4+4+1+4.
-        assert!(delta.wire_size() <= 9 + 45);
     }
 }
 

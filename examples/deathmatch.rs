@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use watchmen::core::match_loop::MatchLoop;
 use watchmen::core::node::{NodeEvent, WatchmenNode};
 use watchmen::core::overlay::run_watchmen;
 use watchmen::core::proxy::ProxySchedule;
@@ -298,7 +299,6 @@ fn run_secured_segment(
 /// `fault summary:` line reports it alongside the reliable-layer
 /// counters (ci.sh parses that line and fails the build on any
 /// unrecovered handoff chain or false verdict).
-#[allow(clippy::needless_range_loop)] // nodes and the net are index-parallel
 fn run_faulted_segment(plan: FaultPlan) {
     const PLAYERS: usize = 16;
     const SEED: u64 = 2013;
@@ -326,11 +326,11 @@ fn run_faulted_segment(plan: FaultPlan) {
     // recovery, and the position checker's wall-geometry corner cases
     // fire even on honest q3dm17 traces.
     let map = maps::arena(32, 10.0);
-    let mut cores: Vec<ProtocolCore> = keys
+    let cores: Vec<Option<ProtocolCore>> = keys
         .into_iter()
         .enumerate()
         .map(|(i, k)| {
-            ProtocolCore::new(WatchmenNode::new(
+            Some(ProtocolCore::new(WatchmenNode::new(
                 PlayerId(i as u32),
                 k,
                 directory.clone(),
@@ -338,9 +338,10 @@ fn run_faulted_segment(plan: FaultPlan) {
                 config,
                 map.clone(),
                 PhysicsConfig::default(),
-            ))
+            )))
         })
         .collect();
+    let mut lp = MatchLoop::new(cores, net, FRAME_MS);
 
     let fault_trace = GameTrace::record(
         GameConfig { map, ..GameConfig::default() },
@@ -349,45 +350,26 @@ fn run_faulted_segment(plan: FaultPlan) {
         FRAMES + DRAIN,
     );
     let mut severe = 0u64;
-    let mut tally = |events: &[NodeEvent]| {
-        for e in events {
-            if let NodeEvent::Suspicion { rating, .. } = e {
-                if rating.score >= 6 {
-                    severe += 1;
-                }
-            }
-        }
-    };
     for f in 0..FRAMES + DRAIN {
-        for d in net.advance_to(f as f64 * FRAME_MS) {
-            if net.is_crashed(d.to) {
-                continue;
-            }
-            let output = cores[d.to].datagram(f, PlayerId(d.from as u32), &d.payload);
-            tally(&output.events);
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                net.send(d.to, o.to.index(), o.bytes, size);
-            }
-        }
-        for i in 0..PLAYERS {
-            if net.is_crashed(i) {
-                continue;
-            }
-            let output = cores[i].tick(f, &fault_trace.frames[f as usize].states[i]);
-            tally(&output.events);
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                net.send(i, o.to.index(), o.bytes, size);
-            }
-        }
+        let states = &fault_trace.frames[f as usize].states;
+        lp.run_frame(
+            f,
+            |i| states[i],
+            |_, _, e| {
+                if let NodeEvent::Suspicion { rating, .. } = e {
+                    if rating.score >= 6 {
+                        severe += 1;
+                    }
+                }
+            },
+        );
     }
 
-    let stats = net.stats();
+    let stats = lp.net.stats();
     stats.assert_invariant("deathmatch faulted segment");
     let (mut retransmits, mut acks, mut fallbacks, mut abandoned, mut pending) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
-    for c in &cores {
+    for c in lp.cores.iter().flatten() {
         let n = c.node();
         let cs = n.control_stats();
         retransmits += cs.retransmits;
@@ -410,7 +392,6 @@ fn run_faulted_segment(plan: FaultPlan) {
 /// boundary across all online active members; the `churn summary:` line
 /// reports the counters ci.sh gates on (joins/leaves/evictions applied,
 /// joiner convergence, roster agreement, false verdicts).
-#[allow(clippy::needless_range_loop, clippy::too_many_lines)] // index-parallel driver loop
 fn run_churn_segment() {
     use watchmen::core::lobby::GameLobby;
     use watchmen::net::fault::GilbertElliott;
@@ -483,6 +464,7 @@ fn run_churn_segment() {
         })
         .collect();
     cores.resize_with(TOTAL, || None);
+    let mut lp = MatchLoop::new(cores, net, FRAME_MS);
 
     let churn_trace =
         GameTrace::record(GameConfig { map, ..GameConfig::default() }, TOTAL, SEED, FRAMES + DRAIN);
@@ -500,7 +482,7 @@ fn run_churn_segment() {
             let (id, ticket, roster) =
                 lobby.admit_midgame(keys[idx].public(), f).expect("mid-game admission");
             admit_frames.insert(idx, ticket.admit_frame);
-            cores[idx] = Some(ProtocolCore::new(WatchmenNode::new_joining(
+            lp.cores[idx] = Some(ProtocolCore::new(WatchmenNode::new_joining(
                 id,
                 keys[idx].clone(),
                 roster,
@@ -516,59 +498,30 @@ fn run_churn_segment() {
         for &(leaver, announce) in &LEAVES {
             if f == announce {
                 lobby.leave(PlayerId(leaver as u32), f);
-                let outs = cores[leaver].as_mut().expect("leaver exists").announce_leave(f);
-                for o in outs.datagrams {
-                    let size = o.bytes.len();
-                    net.send(leaver, o.to.index(), o.bytes, size);
-                }
+                let outs = lp.cores[leaver].as_mut().expect("leaver exists").announce_leave(f);
+                lp.send(leaver, outs.datagrams);
             }
         }
 
-        for d in net.advance_to(f as f64 * FRAME_MS) {
-            if net.is_crashed(d.to) || net.is_offline(d.to) {
-                continue;
-            }
-            let Some(core) = cores[d.to].as_mut() else { continue };
-            let output = core.datagram(f, PlayerId(d.from as u32), &d.payload);
-            for e in &output.events {
-                match e {
-                    NodeEvent::Suspicion { rating, .. } if rating.score >= 6 => severe += 1,
-                    NodeEvent::BadSignature { .. } => bad_sigs += 1,
-                    NodeEvent::BootstrapReceived { .. } => {
-                        bootstrap_frame.entry(d.to).or_insert(f);
-                    }
-                    _ => {}
+        let states = &churn_trace.frames[f as usize].states;
+        lp.run_frame(
+            f,
+            |i| states[i],
+            |node, _, e| match e {
+                NodeEvent::Suspicion { rating, .. } if rating.score >= 6 => severe += 1,
+                NodeEvent::BadSignature { .. } => bad_sigs += 1,
+                NodeEvent::BootstrapReceived { .. } => {
+                    bootstrap_frame.entry(node).or_insert(f);
                 }
-            }
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                net.send(d.to, o.to.index(), o.bytes, size);
-            }
-        }
-        for i in 0..TOTAL {
-            if net.is_crashed(i) || net.is_offline(i) {
-                continue;
-            }
-            let Some(core) = cores[i].as_mut() else { continue };
-            let output = core.tick(f, &churn_trace.frames[f as usize].states[i]);
-            for e in &output.events {
-                if let NodeEvent::Suspicion { rating, .. } = e {
-                    if rating.score >= 6 {
-                        severe += 1;
-                    }
-                }
-            }
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                net.send(i, o.to.index(), o.bytes, size);
-            }
-        }
+                _ => {}
+            },
+        );
 
         if f > 0 && f % period == 0 {
             let views: Vec<(u64, [u8; 32])> = (0..TOTAL)
-                .filter(|&i| !net.is_crashed(i) && !net.is_offline(i))
+                .filter(|&i| lp.is_live(i))
                 .filter_map(|i| {
-                    cores[i]
+                    lp.cores[i]
                         .as_ref()
                         .map(ProtocolCore::node)
                         .filter(|n| n.is_active_member())
@@ -582,7 +535,8 @@ fn run_churn_segment() {
         }
     }
 
-    net.stats().assert_invariant("deathmatch churn segment");
+    lp.net.stats().assert_invariant("deathmatch churn segment");
+    let cores = &lp.cores;
     let witness = cores[0].as_ref().expect("node 0 lives").node();
     let cs = witness.churn_stats();
     let joiners_converged = admit_frames

@@ -1,5 +1,3 @@
-#![allow(clippy::needless_range_loop)] // nodes/states are index-parallel
-
 //! End-to-end churn tolerance: a 16-veteran cluster over a lossy
 //! [`watchmen::net::SimNetwork`] absorbs four mid-game joins, two
 //! graceful leaves and two crash-evictions — all under 5% burst loss —
@@ -11,7 +9,9 @@
 use std::collections::BTreeMap;
 
 use watchmen::core::lobby::GameLobby;
+use watchmen::core::match_loop::MatchLoop;
 use watchmen::core::node::{NodeEvent, WatchmenNode};
+use watchmen::core::sans_io::ProtocolCore;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
 use watchmen::game::trace::GameTrace;
@@ -38,6 +38,11 @@ const JOIN_FRAMES: [u64; JOINERS] = [50, 130, 210, 290];
 const LEAVES: [(usize, u64); 2] = [(3, 370), (5, 450)];
 const CRASHED: [usize; 2] = [7, 9];
 const CRASH_FRAME: u64 = 530;
+
+/// The node in slot `i`, if one has joined.
+fn node(lp: &MatchLoop, i: usize) -> Option<&WatchmenNode> {
+    lp.cores[i].as_ref().map(ProtocolCore::node)
+}
 
 #[test]
 fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
@@ -75,12 +80,12 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
     net.set_fault_plan(plan);
 
     let map = maps::arena(32, 10.0);
-    let mut nodes: Vec<Option<WatchmenNode>> = keys
+    let mut cores: Vec<Option<ProtocolCore>> = keys
         .iter()
         .take(VETERANS)
         .enumerate()
         .map(|(i, k)| {
-            Some(
+            Some(ProtocolCore::new(
                 WatchmenNode::new(
                     PlayerId(i as u32),
                     k.clone(),
@@ -91,10 +96,12 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
                     PhysicsConfig::default(),
                 )
                 .with_lobby_key(lobby_key),
-            )
+            ))
         })
         .collect();
-    nodes.resize_with(TOTAL, || None);
+    cores.resize_with(TOTAL, || None);
+    // Crashed and unplugged slots neither tick nor run handlers.
+    let mut lp = MatchLoop::new(cores, net, FRAME_MS);
 
     let trace = GameTrace::record(
         GameConfig { map: map.clone(), ..GameConfig::default() },
@@ -111,8 +118,6 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
     let mut join_cursor = 0usize;
 
     for f in 0..FRAMES + DRAIN {
-        let now_ms = f as f64 * FRAME_MS;
-
         // --- Scripted churn drivers.
         if join_cursor < JOINERS && f == JOIN_FRAMES[join_cursor] {
             let idx = VETERANS + join_cursor;
@@ -120,7 +125,7 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
                 lobby.admit_midgame(keys[idx].public(), f).expect("mid-game admission");
             assert_eq!(id.index(), idx, "lobby must hand out dense ids");
             admit_frames.insert(idx, ticket.admit_frame);
-            nodes[idx] = Some(WatchmenNode::new_joining(
+            lp.cores[idx] = Some(ProtocolCore::new(WatchmenNode::new_joining(
                 id,
                 keys[idx].clone(),
                 roster,
@@ -130,82 +135,46 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
                 config,
                 map.clone(),
                 PhysicsConfig::default(),
-            ));
+            )));
             join_cursor += 1;
         }
         for &(leaver, announce) in &LEAVES {
             if f == announce {
                 lobby.leave(PlayerId(leaver as u32), f);
-                let outs = nodes[leaver].as_mut().expect("leaver exists").announce_leave(f);
-                for o in outs {
-                    let size = o.bytes.len();
-                    net.send(leaver, o.to.index(), o.bytes, size);
-                }
+                let outs = lp.cores[leaver].as_mut().expect("leaver exists").announce_leave(f);
+                lp.send(leaver, outs.datagrams);
             }
         }
 
-        // --- Deliveries due by this frame.
-        for d in net.advance_to(now_ms) {
-            if net.is_crashed(d.to) || net.is_offline(d.to) {
-                continue;
-            }
-            let Some(node) = nodes[d.to].as_mut() else { continue };
-            let (out, events) = node.handle_message(f, PlayerId(d.from as u32), &d.payload);
-            for e in &events {
-                match e {
-                    NodeEvent::Suspicion { subject, rating, check } if rating.score >= 6 => {
-                        severe.push(format!(
-                            "frame {f}: node {} rated p{} {}/10 on {check}",
-                            d.to, subject.0, rating.score
-                        ));
-                    }
-                    NodeEvent::BadSignature { claimed_from } => {
-                        bad_signatures
-                            .push(format!("frame {f}: node {} vs p{}", d.to, claimed_from.0));
-                    }
-                    NodeEvent::BootstrapReceived { .. } => {
-                        bootstrap_frame.entry(d.to).or_insert(f);
-                    }
-                    _ => {}
+        // --- Deliveries due by this frame, then every live node's tick.
+        let states = &trace.frames[f as usize].states;
+        lp.run_frame(
+            f,
+            |i| states[i],
+            |node, _, e| match e {
+                NodeEvent::Suspicion { subject, rating, check } if rating.score >= 6 => {
+                    severe.push(format!(
+                        "frame {f}: node {node} rated p{} {}/10 on {check}",
+                        subject.0, rating.score
+                    ));
                 }
-            }
-            for o in out {
-                let size = o.bytes.len();
-                net.send(d.to, o.to.index(), o.bytes, size);
-            }
-        }
-
-        // --- Tick every live node (crashed and unplugged slots skip).
-        for i in 0..TOTAL {
-            if net.is_crashed(i) || net.is_offline(i) {
-                continue;
-            }
-            let Some(node) = nodes[i].as_mut() else { continue };
-            let output = node.begin_frame(f, &trace.frames[f as usize].states[i]);
-            for e in &output.events {
-                if let NodeEvent::Suspicion { subject, rating, check } = e {
-                    if rating.score >= 6 {
-                        severe.push(format!(
-                            "frame {f}: node {i} rated p{} {}/10 on {check}",
-                            subject.0, rating.score
-                        ));
-                    }
+                NodeEvent::BadSignature { claimed_from } => {
+                    bad_signatures.push(format!("frame {f}: node {node} vs p{}", claimed_from.0));
                 }
-            }
-            for o in output.outgoing {
-                let size = o.bytes.len();
-                net.send(i, o.to.index(), o.bytes, size);
-            }
-        }
+                NodeEvent::BootstrapReceived { .. } => {
+                    bootstrap_frame.entry(node).or_insert(f);
+                }
+                _ => {}
+            },
+        );
 
         // --- (a) Roster agreement at every renewal boundary: every
         // online, active member holds the identical epoch and digest.
         if f > 0 && f % period == 0 {
             let views: Vec<(usize, u64, [u8; 32])> = (0..TOTAL)
-                .filter(|&i| !net.is_crashed(i) && !net.is_offline(i))
+                .filter(|&i| lp.is_live(i))
                 .filter_map(|i| {
-                    nodes[i]
-                        .as_ref()
+                    node(&lp, i)
                         .filter(|n| n.is_active_member())
                         .map(|n| (i, n.roster_epoch(), n.roster_digest()))
                 })
@@ -242,21 +211,20 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
             *got <= admit + period,
             "joiner {j}: bootstrap at frame {got}, later than one epoch past admission {admit}"
         );
-        let joiner = nodes[*j].as_ref().expect("joiner exists");
+        let joiner = node(&lp, *j).expect("joiner exists");
         assert!(joiner.is_active_member(), "joiner {j} never became active");
         assert!(joiner.churn_stats().bootstraps_received >= 1);
         // At least one other active node tracks the joiner's state — it
         // entered the interest/vision pipelines, not just the roster.
         let seen = (0..TOTAL).any(|i| {
-            i != *j
-                && nodes[i].as_ref().is_some_and(|n| n.known_state(PlayerId(*j as u32)).is_some())
+            i != *j && node(&lp, i).is_some_and(|n| n.known_state(PlayerId(*j as u32)).is_some())
         });
         assert!(seen, "no active node ever learned joiner {j}'s state");
     }
 
     // --- The full lifecycle actually ran, observed from a veteran that
     // survived to the end.
-    let witness = nodes[0].as_ref().expect("node 0 lives");
+    let witness = node(&lp, 0).expect("node 0 lives");
     let cs = witness.churn_stats();
     assert_eq!(cs.joins_applied, JOINERS as u64, "joins applied: {cs:?}");
     assert_eq!(cs.leaves_applied, LEAVES.len() as u64, "leaves applied: {cs:?}");
@@ -272,7 +240,7 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
     assert_eq!(witness.roster().active_count(), VETERANS - 4 + JOINERS);
 
     // --- The loss plan actually bit, and conservation held throughout.
-    let stats = net.stats();
+    let stats = lp.net.stats();
     stats.assert_invariant("end of churn e2e");
     assert!(stats.dropped > 100, "loss plan never engaged: {stats:?}");
 
@@ -280,12 +248,8 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
     // (`eviction_degrades_to_single_proxy_instead_of_aborting`); here the
     // whole run completing under churn without a panic, with zero
     // abandoned control messages on surviving nodes, is the guarantee.
-    for i in 0..TOTAL {
-        if net.is_crashed(i) || net.is_offline(i) {
-            continue;
-        }
-        if let Some(n) = &nodes[i] {
-            assert_eq!(n.control_stats().abandoned, 0, "node {i} abandoned control traffic");
-        }
+    for i in (0..TOTAL).filter(|&i| lp.is_live(i)) {
+        let n = node(&lp, i).expect("live slots hold a core");
+        assert_eq!(n.control_stats().abandoned, 0, "node {i} abandoned control traffic");
     }
 }

@@ -1,5 +1,3 @@
-#![allow(clippy::needless_range_loop)] // nodes/states are index-parallel
-
 //! End-to-end exercise of the loss-tolerant control plane: a 16-node
 //! cluster runs over [`watchmen::net::SimNetwork`] with a hostile
 //! [`watchmen::net::fault::FaultPlan`] — Gilbert–Elliott burst loss,
@@ -8,8 +6,10 @@
 //! crashed proxy, and raise **zero** severe cheat verdicts against the
 //! all-honest population.
 
+use watchmen::core::match_loop::MatchLoop;
 use watchmen::core::node::{NodeEvent, WatchmenNode};
 use watchmen::core::proxy::ProxySchedule;
+use watchmen::core::sans_io::ProtocolCore;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::game::trace::GameTrace;
@@ -66,11 +66,11 @@ fn handoff_chains_survive_loss_duplication_and_a_proxy_crash() {
     // q3dm17 trace — they are a physics-check concern, not a transport
     // one.
     let map = maps::arena(32, 10.0);
-    let mut nodes: Vec<WatchmenNode> = keys
+    let cores: Vec<Option<ProtocolCore>> = keys
         .into_iter()
         .enumerate()
         .map(|(i, k)| {
-            WatchmenNode::new(
+            Some(ProtocolCore::new(WatchmenNode::new(
                 PlayerId(i as u32),
                 k,
                 directory.clone(),
@@ -78,9 +78,14 @@ fn handoff_chains_survive_loss_duplication_and_a_proxy_crash() {
                 config,
                 map.clone(),
                 PhysicsConfig::default(),
-            )
+            )))
         })
         .collect();
+    // The loop skips crashed receivers: the simnet already eats their
+    // deliveries, and a dead process neither runs its handler nor ticks.
+    // On recovery a node's own gap detection resets its liveness view and
+    // suppresses the partially-observed epoch's summary.
+    let mut lp = MatchLoop::new(cores, net, FRAME_MS);
 
     let trace = GameTrace::record(
         GameConfig { map: map.clone(), ..GameConfig::default() },
@@ -92,58 +97,24 @@ fn handoff_chains_survive_loss_duplication_and_a_proxy_crash() {
     let mut handoffs_received = 0u64;
 
     for f in 0..FRAMES + DRAIN {
-        let now_ms = f as f64 * FRAME_MS;
-
-        // Deliver everything due by this frame. The simnet already eats
-        // deliveries to a crashed receiver; the skip below models the
-        // dead process not running its handler.
-        for d in net.advance_to(now_ms) {
-            if net.is_crashed(d.to) {
-                continue;
-            }
-            let (out, events) = nodes[d.to].handle_message(f, PlayerId(d.from as u32), &d.payload);
-            for e in &events {
+        let states = &trace.frames[f as usize].states;
+        lp.run_frame(
+            f,
+            |i| states[i],
+            |node, _, e| {
                 if let NodeEvent::Suspicion { subject, rating, check } = e {
                     if rating.score >= 6 {
                         severe.push(format!(
-                            "frame {f}: node {} rated p{} {}/10 on {check}",
-                            d.to, subject.0, rating.score
+                            "frame {f}: node {node} rated p{} {}/10 on {check}",
+                            subject.0, rating.score
                         ));
                     }
                 }
                 if matches!(e, NodeEvent::HandoffReceived { .. }) {
                     handoffs_received += 1;
                 }
-            }
-            for o in out {
-                let size = o.bytes.len();
-                net.send(d.to, o.to.index(), o.bytes, size);
-            }
-        }
-
-        // Tick every live node. A crashed node does not tick at all; on
-        // recovery its own gap detection resets its liveness view and
-        // suppresses the partially-observed epoch's summary.
-        for i in 0..PLAYERS {
-            if net.is_crashed(i) {
-                continue;
-            }
-            let output = nodes[i].begin_frame(f, &trace.frames[f as usize].states[i]);
-            for e in &output.events {
-                if let NodeEvent::Suspicion { subject, rating, check } = e {
-                    if rating.score >= 6 {
-                        severe.push(format!(
-                            "frame {f}: node {i} rated p{} {}/10 on {check}",
-                            subject.0, rating.score
-                        ));
-                    }
-                }
-            }
-            for o in output.outgoing {
-                let size = o.bytes.len();
-                net.send(i, o.to.index(), o.bytes, size);
-            }
-        }
+            },
+        );
     }
 
     // --- No false cheat verdicts, ever.
@@ -151,7 +122,7 @@ fn handoff_chains_survive_loss_duplication_and_a_proxy_crash() {
 
     // --- The fault plan actually bit: bursts dropped messages, the
     // duplicator fired, and the conservation invariant held throughout.
-    let stats = net.stats();
+    let stats = lp.net.stats();
     stats.assert_invariant("end of control-plane e2e");
     assert!(stats.dropped > 100, "loss plan never engaged: {stats:?}");
     assert!(stats.duplicated > 0, "duplication plan never engaged: {stats:?}");
@@ -160,7 +131,8 @@ fn handoff_chains_survive_loss_duplication_and_a_proxy_crash() {
     let mut retransmits = 0u64;
     let mut abandoned = 0u64;
     let mut fallbacks = 0u64;
-    for (i, n) in nodes.iter().enumerate() {
+    for (i, core) in lp.cores.iter().enumerate() {
+        let n = core.as_ref().expect("every node stays in the match").node();
         let cs = n.control_stats();
         retransmits += cs.retransmits;
         abandoned += cs.abandoned;
