@@ -19,6 +19,19 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> figure path (Fig. 7 and the bandwidth sweep at quick scale, over real protocol cores)"
+for BENCH in fig7_update_age scalability_bandwidth; do
+    FIG_OUT="/tmp/watchmen-$BENCH.txt"
+    WATCHMEN_QUICK=1 cargo bench -p watchmen-bench --bench "$BENCH" > "$FIG_OUT"
+    python3 - "$FIG_OUT" <<'EOF'
+import re, sys
+text = open(sys.argv[1]).read()
+rows = [l for l in text.splitlines() if re.match(r"^\d+\s+\S", l)]
+assert rows, f"no table rows in {sys.argv[1]}:\n{text}"
+print(f"figure OK: {sys.argv[1]} has {len(rows)} table rows")
+EOF
+done
+
 echo "==> chrome trace smoke (deathmatch, 8 players, 200 frames)"
 TRACE_OUT=/tmp/watchmen-trace.json
 rm -f "$TRACE_OUT"

@@ -2234,8 +2234,16 @@ impl WatchmenNode {
                 weapon: sub_state.weapon,
                 ammo: sub_state.ammo,
             };
-            let raw =
-                self.verifier.check_vs_subscription(&sub_frame, target_state.position, &self.map);
+            // The target copy can postdate the subscription frame by many
+            // frames (its first post-offense update may arrive late, or
+            // only at 1 Hz); the tolerance widens by how far the target
+            // could have moved in that gap.
+            let raw = self.verifier.check_vs_subscription(
+                &sub_frame,
+                target_state.position,
+                tgt_gen - check.sub_gen,
+                &self.map,
+            );
             if raw >= 6 {
                 self.audit_pending_resolved(origin, gen_frame, raw, "confirmed");
                 events.push(NodeEvent::Suspicion {
@@ -2321,7 +2329,7 @@ impl WatchmenNode {
         };
         let raw = match kind {
             SetKind::Interest | SetKind::Vision => {
-                self.verifier.check_vs_subscription(&sub_frame, target_state.position, &self.map)
+                self.verifier.check_vs_subscription(&sub_frame, target_state.position, 0, &self.map)
             }
             SetKind::Others => 1,
         };
@@ -2554,6 +2562,38 @@ mod tests {
         let mut confirm_events = Vec::new();
         node.proxy_verify_and_account(sub, 11, &sub_state, &mut confirm_events);
         assert_eq!(severe_subscription_count(&confirm_events), 1, "{confirm_events:?}");
+        assert!(node.sub_pending.is_empty(), "pending resolved");
+    }
+
+    #[test]
+    fn late_target_copy_widens_the_confirmation_cone() {
+        // An honest subscription parks (the proxy's copy of the target is
+        // behind the cone), but the first target copy at or after the
+        // subscription frame is 50 frames newer. The target could have
+        // run 100 units in that gap, so being 60 units behind the
+        // subscriber's cone then proves nothing about frame 10.
+        let mut node = test_node();
+        let sub = PlayerId(1);
+        let target = PlayerId(2);
+        let looking_px = watchmen_math::Aim::default(); // +x
+        let sub_state = state_at(watchmen_math::Vec3::new(200.0, 200.0, 0.0), looking_px);
+        node.duties.entry(sub).or_default().last_state = Some((10, sub_state));
+        node.known
+            .insert(target, (9, state_at(watchmen_math::Vec3::new(100.0, 200.0, 0.0), looking_px)));
+
+        let mut events = Vec::new();
+        node.verify_subscription(11, 10, sub, target, SetKind::Vision, &mut events);
+        assert!(node.sub_pending.contains_key(&(sub, target)), "offense parked");
+
+        node.learn(target, 60, state_at(watchmen_math::Vec3::new(140.0, 200.0, 0.0), looking_px));
+        assert!(!node.recent_knowledge_break(target, 61), "a legal walk, not a respawn");
+        let mut confirm_events = Vec::new();
+        node.proxy_verify_and_account(sub, 61, &sub_state, &mut confirm_events);
+        assert_eq!(
+            severe_subscription_count(&confirm_events),
+            0,
+            "a target copy 50 frames late must not confirm: {confirm_events:?}"
+        );
         assert!(node.sub_pending.is_empty(), "pending resolved");
     }
 

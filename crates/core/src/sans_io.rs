@@ -20,10 +20,12 @@
 //!
 //! | driver | where | transport | time source |
 //! |---|---|---|---|
-//! | deathmatch secured segment | `examples/deathmatch.rs` | in-memory instant bus | loop counter |
-//! | simnet loops (faulted, churn) | `examples/deathmatch.rs`, e2e tests | [`watchmen_net::SimNetwork`] | virtual ms |
-//! | fleet match cell | `watchmen-fleet::cell` | per-match simnet | scheduler quanta |
+//! | instant bus | deathmatch secured segment, this module's tests, `sans_io_e2e`, `node_protocol` | in-memory queue | loop counter |
+//! | [`crate::match_loop::MatchLoop`] | fleet match cell, deathmatch faulted and churn segments, churn and control-plane e2e tests, [`crate::overlay::run_watchmen`] | [`watchmen_net::SimNetwork`] | virtual ms |
 //! | live cluster | `examples/live_cluster.rs` | `watchmen_net::live::LiveTransport` (real UDP) | wall-clock paced ticks |
+//!
+//! `MatchLoop` is the one simnet driver; the instant bus stays separate
+//! because it re-delivers forwarded traffic within the same frame.
 //!
 //! A worked tick, as every driver performs it:
 //!

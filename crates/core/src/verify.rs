@@ -295,21 +295,24 @@ impl Verifier {
     /// deviation."
     ///
     /// `subscriber` is the proxy's knowledge of the subscribing player `p`;
-    /// `target_position` its knowledge of `q`.
+    /// `target_position` its knowledge of `q`, taken `target_lag_frames`
+    /// after the subscriber's frame.
     #[must_use]
     pub fn check_vs_subscription(
         &self,
         subscriber: &PlayerFrame,
         target_position: Vec3,
+        target_lag_frames: u64,
         map: &GameMap,
     ) -> u8 {
         let cone = vision_cone(subscriber, &self.config);
         let deviation = cone.deviation(target_position + Vec3::Z * 1.5);
         // Tolerance: one guidance period of target movement (the proxy's
-        // information about q may be that stale).
+        // information about q may be that stale), plus however far q
+        // could have run between the subscriber's frame and the copy.
         let tolerance = self.physics.max_speed
             * self.config.frame_seconds()
-            * self.config.guidance_period as f64;
+            * (self.config.guidance_period + target_lag_frames) as f64;
         let mut score = rate_deviation(deviation, tolerance);
         // Subscribing through a wall leaks map-hack information even when
         // the cone geometry fits.
@@ -635,7 +638,7 @@ mod tests {
         let v = verifier();
         let map = maps::arena(40, 10.0);
         let sub = frame_at(Vec3::new(50.0, 200.0, 0.0)); // looking +x
-        let s = v.check_vs_subscription(&sub, Vec3::new(120.0, 210.0, 0.0), &map);
+        let s = v.check_vs_subscription(&sub, Vec3::new(120.0, 210.0, 0.0), 0, &map);
         assert_eq!(s, 1);
     }
 
@@ -644,7 +647,7 @@ mod tests {
         let v = verifier();
         let map = maps::arena(40, 10.0);
         let sub = frame_at(Vec3::new(200.0, 200.0, 0.0)); // looking +x
-        let s = v.check_vs_subscription(&sub, Vec3::new(80.0, 200.0, 0.0), &map);
+        let s = v.check_vs_subscription(&sub, Vec3::new(80.0, 200.0, 0.0), 0, &map);
         assert!(s >= 5, "behind-cone score {s}");
     }
 

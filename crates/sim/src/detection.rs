@@ -350,6 +350,7 @@ pub fn run_detection_traced(
                     honest_vs.push(verifier.check_vs_subscription(
                         &states[p],
                         states[t.index()].position,
+                        0,
                         map,
                     ));
                 }
@@ -357,6 +358,7 @@ pub fn run_detection_traced(
                     honest_vs.push(verifier.check_vs_subscription(
                         &states[p],
                         states[t.index()].position,
+                        0,
                         map,
                     ));
                 }
@@ -380,6 +382,7 @@ pub fn run_detection_traced(
                     let vs_score = verifier.check_vs_subscription(
                         &states[p],
                         states[target.index()].position,
+                        0,
                         map,
                     );
                     verdict(p, checks::SUBSCRIPTION, is_score.max(vs_score), f);
