@@ -19,6 +19,9 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> crypto tests in release mode (Montgomery arithmetic as optimised builds run it)"
+cargo test --release -q -p watchmen-crypto
+
 echo "==> figure path (Fig. 7 and the bandwidth sweep at quick scale, over real protocol cores)"
 for BENCH in fig7_update_age scalability_bandwidth; do
     FIG_OUT="/tmp/watchmen-$BENCH.txt"

@@ -1,6 +1,6 @@
 //! Microbenchmarks of the architecture's hot kernels: signature
-//! sign/verify, subscription-set computation, proxy schedule evaluation
-//! and the verification suite.
+//! sign/verify, key generation and public-key decoding, subscription-set
+//! computation, proxy schedule evaluation and the verification suite.
 //!
 //! Each kernel is timed into a [`watchmen_telemetry::Histogram`], so the
 //! reported p50/p99 come from the same quantile machinery the runtime
@@ -14,7 +14,7 @@ use watchmen_core::proxy::ProxySchedule;
 use watchmen_core::subscription::{compute_sets, NoRecency};
 use watchmen_core::verify::Verifier;
 use watchmen_core::WatchmenConfig;
-use watchmen_crypto::schnorr::Keypair;
+use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::PlayerId;
 use watchmen_sim::workload::standard_workload;
 use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
@@ -68,6 +68,17 @@ fn main() {
             }));
             lines.push(bench_kernel(&registry, "schnorr_verify_88B", || {
                 black_box(keys.public().verify(black_box(&msg), black_box(&sig)));
+            }));
+            // Fleet and reputation set-up derive every player's keys.
+            let mut seed = 0u64;
+            lines.push(bench_kernel(&registry, "schnorr_keygen", || {
+                seed += 1;
+                black_box(Keypair::generate(black_box(seed)));
+            }));
+            // Join-ticket decode: the subgroup check on a wire public key.
+            let wire_key = keys.public().to_u64();
+            lines.push(bench_kernel(&registry, "pubkey_from_u64", || {
+                black_box(PublicKey::from_u64(black_box(wire_key)));
             }));
 
             let w = standard_workload(48, 7, 10);

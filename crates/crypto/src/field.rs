@@ -1,8 +1,9 @@
-//! Modular arithmetic over 64-bit moduli.
+//! Modular arithmetic over any 64-bit modulus.
 //!
-//! Supports the Schnorr signature scheme in [`crate::schnorr`]. All values
-//! fit in `u64`; products use `u128` intermediates so no multi-precision
-//! arithmetic is needed.
+//! All values fit in `u64`; products use `u128` intermediates so no
+//! multi-precision arithmetic is needed. [`crate::schnorr`] uses these
+//! helpers for its one reduction mod `q` and checks its own arithmetic,
+//! which is specialised to the fixed modulus `p`, against them.
 
 /// `(a + b) mod m`.
 ///
@@ -65,21 +66,6 @@ pub fn pow_mod(base: u64, mut exp: u64, m: u64) -> u64 {
         exp >>= 1;
     }
     result
-}
-
-/// Modular inverse of `a` modulo prime `p`, via Fermat's little theorem.
-///
-/// Returns `None` if `a ≡ 0 (mod p)`.
-///
-/// # Panics
-///
-/// Panics in debug builds if `p < 2`. The result is only an inverse when
-/// `p` is prime, which callers must guarantee.
-#[must_use]
-pub fn inv_mod_prime(a: u64, p: u64) -> Option<u64> {
-    debug_assert!(p >= 2);
-    let a = a % p;
-    (a != 0).then(|| pow_mod(a, p - 2, p))
 }
 
 /// Deterministic Miller–Rabin primality test, exact for all `u64` inputs
@@ -162,17 +148,6 @@ mod tests {
         for a in [2u64, 42, 999_999_999] {
             assert_eq!(pow_mod(a, p - 1, p), 1);
         }
-    }
-
-    #[test]
-    fn inverse_works() {
-        let p = 1_000_000_007u64;
-        for a in [1u64, 2, 12345, p - 1] {
-            let inv = inv_mod_prime(a, p).unwrap();
-            assert_eq!(mul_mod(a, inv, p), 1);
-        }
-        assert_eq!(inv_mod_prime(0, p), None);
-        assert_eq!(inv_mod_prime(p, p), None);
     }
 
     #[test]

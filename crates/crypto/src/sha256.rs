@@ -149,15 +149,14 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        // `update` adjusted total_len; restore the semantics by padding with
-        // zeros until 8 bytes remain in the block.
-        while self.buffer_len != 56 {
-            let zeros = [0u8; 1];
-            self.update(&zeros);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // Padding: 0x80, zeros until 8 bytes remain in a block, then the
+        // 64-bit big-endian bit length, absorbed in one call.
+        let zeros_end =
+            if self.buffer_len < 56 { 56 - self.buffer_len } else { 120 - self.buffer_len };
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[zeros_end..zeros_end + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..zeros_end + 8]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -167,42 +166,51 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        // The message schedule lives in a 16-word ring: round i reads
+        // W[i-16], W[i-15], W[i-7] and W[i-2], all still in the ring.
+        let mut w = [0u32; 16];
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        // Round `i` with the working variables passed in their rotated
+        // order: it writes only `d` and `h`, so eight calls with the names
+        // shifted by one make a full rotation and no value is moved.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                let i = $i;
+                if i >= 16 {
+                    let w15 = w[(i + 1) % 16];
+                    let w2 = w[(i + 14) % 16];
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[i % 16] =
+                        w[i % 16].wrapping_add(s0).wrapping_add(w[(i + 9) % 16]).wrapping_add(s1);
+                }
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let ch = ($e & $f) ^ (!$e & $g);
+                let temp1 =
+                    $h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i % 16]);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+                $d = $d.wrapping_add(temp1);
+                $h = temp1.wrapping_add(s0.wrapping_add(maj));
+            };
+        }
+        for i in (0..64).step_by(8) {
+            round!(a, b, c, d, e, f, g, h, i);
+            round!(h, a, b, c, d, e, f, g, i + 1);
+            round!(g, h, a, b, c, d, e, f, i + 2);
+            round!(f, g, h, a, b, c, d, e, i + 3);
+            round!(e, f, g, h, a, b, c, d, i + 4);
+            round!(d, e, f, g, h, a, b, c, i + 5);
+            round!(c, d, e, f, g, h, a, b, i + 6);
+            round!(b, c, d, e, f, g, h, a, i + 7);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (state, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *state = state.wrapping_add(v);
+        }
     }
 }
 

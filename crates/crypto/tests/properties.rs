@@ -1,10 +1,12 @@
 //! Randomized property tests for the crypto crate, driven by its own
 //! deterministic [`Xoshiro256`] generator.
 
-use watchmen_crypto::field::{add_mod, inv_mod_prime, mul_mod, pow_mod, sub_mod};
+use watchmen_crypto::field::{add_mod, mul_mod, pow_mod, sub_mod};
 use watchmen_crypto::rng::Xoshiro256;
-use watchmen_crypto::schnorr::{Keypair, PublicKey, Signature, GROUP_ORDER};
-use watchmen_crypto::{hmac_sha256, sha256};
+use watchmen_crypto::schnorr::{
+    pow_generator, pow_mod_p, Keypair, PublicKey, Signature, GENERATOR, GROUP_ORDER, MODULUS,
+};
+use watchmen_crypto::sha256;
 
 const P: u64 = 1_000_000_007;
 const CASES: usize = 256;
@@ -50,16 +52,6 @@ fn field_pow_laws() {
 }
 
 #[test]
-fn field_inverse_multiplies_to_one() {
-    let mut rng = Xoshiro256::new(24);
-    for _ in 0..CASES {
-        let a = 1 + rng.next_range(P - 1);
-        let inv = inv_mod_prime(a, P).unwrap();
-        assert_eq!(mul_mod(a, inv, P), 1);
-    }
-}
-
-#[test]
 fn sha256_deterministic_and_sensitive() {
     let mut rng = Xoshiro256::new(25);
     for _ in 0..64 {
@@ -70,18 +62,6 @@ fn sha256_deterministic_and_sensitive() {
             flipped[0] ^= 1;
             assert_ne!(sha256(&data), sha256(&flipped));
         }
-    }
-}
-
-#[test]
-fn hmac_differs_by_key() {
-    let mut rng = Xoshiro256::new(26);
-    for _ in 0..64 {
-        let key = bytes_of(&mut rng, 1, 100);
-        let msg = bytes_of(&mut rng, 0, 100);
-        let mut key2 = key.clone();
-        key2[0] ^= 0xff;
-        assert_ne!(hmac_sha256(&key, &msg), hmac_sha256(&key2, &msg));
     }
 }
 
@@ -127,6 +107,89 @@ fn schnorr_pubkey_encoding_roundtrip() {
     for _ in 0..CASES {
         let pk = Keypair::generate(rng.next_u64()).public();
         assert_eq!(PublicKey::from_u64(pk.to_u64()), Some(pk));
+    }
+}
+
+/// Exponents every fast path must get right: the identity, the group
+/// order and its neighbour, and a power of two past `q`.
+const EDGE_EXPONENTS: [u64; 5] = [0, 1, GROUP_ORDER - 1, GROUP_ORDER, 1 << 62];
+
+/// Random exponents of every length from 1 to 64 bits, then the edges.
+fn exponents(rng: &mut Xoshiro256) -> Vec<u64> {
+    let mut out: Vec<u64> = (0..CASES).map(|i| rng.next_u64() >> (i % 64)).collect();
+    out.extend(EDGE_EXPONENTS);
+    out.push(u64::MAX);
+    out
+}
+
+#[test]
+fn generator_table_matches_pow_mod() {
+    let mut rng = Xoshiro256::new(34);
+    for e in exponents(&mut rng) {
+        assert_eq!(pow_generator(e), pow_mod(GENERATOR, e, MODULUS), "g^{e}");
+    }
+}
+
+#[test]
+fn montgomery_pow_matches_pow_mod() {
+    let mut rng = Xoshiro256::new(35);
+    let mut bases: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
+    bases.extend([0, 1, 2, GENERATOR, MODULUS - 1, MODULUS, MODULUS + 1, u64::MAX]);
+    for x in bases {
+        for e in exponents(&mut rng) {
+            assert_eq!(pow_mod_p(x, e), pow_mod(x, e, MODULUS), "{x}^{e}");
+        }
+    }
+}
+
+#[test]
+fn public_key_decoding_matches_reference_check() {
+    let reference = |x: u64| x > 1 && x < MODULUS && pow_mod(x, GROUP_ORDER, MODULUS) == 1;
+    let mut rng = Xoshiro256::new(36);
+    let mut values =
+        vec![0, 1, 2, MODULUS - 1, MODULUS, MODULUS + 1, MODULUS - GENERATOR, u64::MAX];
+    for _ in 0..CASES {
+        let x = rng.next_u64();
+        // Raw u64s are mostly `≥ p`; residues of p are half in the
+        // subgroup; squares all are.
+        values.extend([x, x % MODULUS, mul_mod(x, x, MODULUS)]);
+    }
+    let accepted = values.iter().filter(|&&x| reference(x)).count();
+    assert!(accepted > CASES && accepted < values.len() - CASES, "both branches: {accepted}");
+    for x in values {
+        assert_eq!(PublicKey::from_u64(x).is_some(), reference(x), "x = {x}");
+    }
+}
+
+#[test]
+fn out_of_range_flipped_and_foreign_signatures_are_rejected() {
+    let mut rng = Xoshiro256::new(37);
+    for _ in 0..64 {
+        let keys = Keypair::generate(rng.next_u64());
+        let other = Keypair::generate(rng.next_u64());
+        let msg = bytes_of(&mut rng, 1, 100);
+        let sig = keys.sign(&msg);
+        let bytes = sig.to_bytes();
+        let (e, s) = (&bytes[..8], &bytes[8..]);
+        assert!(keys.public().verify(&msg, &sig));
+        assert!(!other.public().verify(&msg, &sig), "wrong key");
+
+        let mut flipped = msg.clone();
+        let bit = rng.next_range(msg.len() as u64 * 8);
+        flipped[(bit / 8) as usize] ^= 1 << (bit % 8);
+        assert!(!keys.public().verify(&flipped, &sig), "flipped bit {bit}");
+
+        // `e ≥ q` or `s ≥ q` never decodes, so no caller can present one.
+        for big in [GROUP_ORDER, GROUP_ORDER + 1 + rng.next_range(u64::MAX - GROUP_ORDER)] {
+            let mut bad_e = [0u8; 16];
+            bad_e[..8].copy_from_slice(&big.to_be_bytes());
+            bad_e[8..].copy_from_slice(s);
+            let mut bad_s = [0u8; 16];
+            bad_s[..8].copy_from_slice(e);
+            bad_s[8..].copy_from_slice(&big.to_be_bytes());
+            assert_eq!(Signature::from_bytes(&bad_e), None);
+            assert_eq!(Signature::from_bytes(&bad_s), None);
+        }
     }
 }
 
